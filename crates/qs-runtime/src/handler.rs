@@ -41,7 +41,7 @@ use qs_exec::{PooledTask, StepOutcome};
 use qs_queues::{
     Closed, Dequeue, MailboxConsumer, MutexQueue, QueueOfQueues, WakeHook, WakeReason,
 };
-use qs_sync::{Backoff, Event, GateWake, OnceValue, Parker, ReadGate, SpinLock};
+use qs_sync::{Backoff, Event, OnceValue, Parker, ReadGate, SpinLock};
 
 use crate::config::RuntimeConfig;
 use crate::deadlock::{HandlerScope, Tracking};
@@ -300,18 +300,9 @@ impl<T: Send + 'static> HandlerCore<T> {
         self.gate.announce_writer();
         let _edges = self.writer_wait_edges(waiter);
         let parker = Arc::new(Parker::new());
-        loop {
-            if self.gate.try_write() {
-                break;
-            }
-            self.gate
-                .enlist(true, GateWake::Parker(Arc::clone(&parker)));
-            if self.gate.try_write() {
-                break;
-            }
-            parker.park_until(|| self.gate.writable());
-        }
-        self.gate.retract_writer();
+        let gate = &self.gate;
+        while !gate.try_write() && !gate.park_round(&parker, || gate.try_write(), || false) {}
+        gate.retract_writer();
     }
 
     /// Applies one request to the object.  Returns `false` when the request
@@ -668,10 +659,8 @@ impl<T: Send + 'static> HandlerCore<T> {
             // hook.
             if let Some(hook) = self.wake_hook() {
                 let hook = Arc::clone(hook);
-                self.gate.enlist(
-                    true,
-                    GateWake::Hook(Arc::new(move || hook(WakeReason::Writable))),
-                );
+                self.gate
+                    .enlist(Arc::new(move || hook(WakeReason::Writable)));
             }
             if !self.gate.try_write() {
                 state.pending = Some((drained, pressured));

@@ -34,10 +34,11 @@
 //! concrete read holder, so reader/writer cycles are named, reported and
 //! breakable like every other wait in the runtime.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use qs_deadlock::{EdgeKind, WakerFn};
-use qs_sync::{GateWake, Parker};
+use qs_sync::Parker;
 
 use crate::deadlock::current_waiter;
 use crate::handler::{Handler, HandlerCore};
@@ -97,6 +98,9 @@ pub struct ReadSeparate<'a, T: Send + 'static> {
     holder: Option<qs_deadlock::ParticipantId>,
     /// Whether the gate is currently held in read mode by this guard.
     active: bool,
+    /// Queries run by this block, published to the shared statistics once,
+    /// when the guard drops.
+    queries: Cell<u64>,
     /// Prevents `Send`/`Sync` auto-derivation.
     _not_send: std::marker::PhantomData<*const ()>,
 }
@@ -121,6 +125,7 @@ impl<'a, T: Send + 'static> ReadSeparate<'a, T> {
             core,
             holder: None,
             active: false,
+            queries: Cell::new(0),
             _not_send: std::marker::PhantomData,
         }
     }
@@ -172,29 +177,21 @@ impl<'a, T: Send + 'static> ReadSeparate<'a, T> {
                 Some(Arc::new(move || gate.writer_contended()) as qs_deadlock::ProbeFn),
             )
         });
+        let gate = &self.core.gate;
+        let broken = || edge.as_ref().is_some_and(|edge| edge.is_broken());
         loop {
-            if self.core.gate.try_read() {
+            if gate.try_read() {
                 return;
             }
-            if edge.as_ref().is_some_and(|edge| edge.is_broken()) {
+            if broken() {
                 RuntimeStats::bump(&self.core.stats.deadlocks_broken);
                 std::panic::panic_any(MailboxError::DeadlockBroken {
                     handler: self.core.id,
                 });
             }
-            // Lost-wake protocol: enlist, then re-try — either the retry
-            // sees the gate free, or the releasing writer sees the waiter.
-            self.core
-                .gate
-                .enlist(false, GateWake::Parker(Arc::clone(&parker)));
-            if self.core.gate.try_read() {
+            if gate.park_round(&parker, || gate.try_read(), broken) {
                 return;
             }
-            let gate = &self.core.gate;
-            let broken = &edge;
-            parker.park_until(|| {
-                !gate.writer_contended() || broken.as_ref().is_some_and(|edge| edge.is_broken())
-            });
         }
     }
 
@@ -206,7 +203,7 @@ impl<'a, T: Send + 'static> ReadSeparate<'a, T> {
     /// in place.  Because nothing crosses threads, the closure needs
     /// neither `Send` nor `'static`.
     pub fn query<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        RuntimeStats::bump(&self.core.stats.queries_client_executed);
+        self.queries.set(self.queries.get() + 1);
         // SAFETY: this guard holds the gate in read mode; every `&mut` site
         // takes the gate in write mode first, so only other readers can be
         // touching the object concurrently.
@@ -265,6 +262,7 @@ impl<'a, T: Send + 'static> ReadSeparate<'a, T> {
 
 impl<T: Send + 'static> Drop for ReadSeparate<'_, T> {
     fn drop(&mut self) {
+        RuntimeStats::add(&self.core.stats.queries_client_executed, self.queries.get());
         if !self.active {
             return;
         }

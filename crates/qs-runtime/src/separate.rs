@@ -49,6 +49,11 @@ pub struct Separate<'a, T: Send + 'static> {
     signal_guards: bool,
     /// Whether the handler is known to have drained everything we logged.
     synced: bool,
+    /// Client-executed queries and elided syncs of this block, published to
+    /// the shared statistics once, by [`end`](Separate::end): a shared RMW
+    /// per query would be a large share of a synced query's cost.
+    client_queries: u64,
+    elided_syncs: u64,
     ended: bool,
     /// Prevents `Send`/`Sync` auto-derivation.
     _not_send: std::marker::PhantomData<*const ()>,
@@ -157,6 +162,8 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
             tracking,
             signal_guards: !crate::guard::in_probe_round(),
             synced: false,
+            client_queries: 0,
+            elided_syncs: 0,
             ended: false,
             _not_send: std::marker::PhantomData,
         }
@@ -361,7 +368,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     /// what makes the unoptimised configurations slow on query-heavy code.
     pub fn sync(&mut self) {
         if self.synced && self.core.config.dynamic_sync_coalescing {
-            RuntimeStats::bump(&self.core.stats.syncs_elided);
+            self.elided_syncs += 1;
             return;
         }
         self.force_sync();
@@ -382,7 +389,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     /// round-trip when the runtime can prove it redundant.
     fn ensure_synced(&mut self) {
         if self.synced && self.core.config.dynamic_sync_coalescing {
-            RuntimeStats::bump(&self.core.stats.syncs_elided);
+            self.elided_syncs += 1;
             return;
         }
         // Without coalescing the runtime does not exploit the knowledge
@@ -402,7 +409,7 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
         let round_trip = qs_obs::timer();
         if self.core.config.client_executed_queries {
             self.ensure_synced();
-            RuntimeStats::bump(&self.core.stats.queries_client_executed);
+            self.client_queries += 1;
             let _write = self.write_gate();
             // SAFETY: the sync above guarantees the handler has drained this
             // client's requests and is now parked waiting on this client's
@@ -444,8 +451,8 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
             "query_unsynced called while not synced; the static sync-coalescing \
              contract is violated"
         );
-        RuntimeStats::bump(&self.core.stats.queries_client_executed);
-        RuntimeStats::bump(&self.core.stats.syncs_elided);
+        self.client_queries += 1;
+        self.elided_syncs += 1;
         let _write = self.write_gate();
         // SAFETY: as in `query` — the caller (the static pass) guarantees a
         // dominating sync with no intervening asynchronous call, so the
@@ -528,7 +535,8 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
         }
     }
 
-    /// Ends the separate block, releasing the handler for other clients.
+    /// Ends the separate block, releasing the handler for other clients,
+    /// and publishes the block's query counts to the runtime statistics.
     ///
     /// Called automatically when the guard is dropped; calling it twice is
     /// harmless.
@@ -537,6 +545,11 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
             return;
         }
         self.ended = true;
+        RuntimeStats::add(
+            &self.core.stats.queries_client_executed,
+            self.client_queries,
+        );
+        RuntimeStats::add(&self.core.stats.syncs_elided, self.elided_syncs);
         qs_obs::trace(qs_obs::TraceKind::ReserveRelease, self.core.id, 0);
         if let Some(producer) = self.producer.take() {
             // END marker: the handler moves on to the next private queue.
@@ -1059,6 +1072,92 @@ mod tests {
         assert!(surfaced, "try_take must surface the abandonment");
         assert_eq!(handler.query_detached(|n| *n), 5);
         handler.stop();
+    }
+
+    /// `(queries_client_executed, syncs_elided)` added since `before`.
+    fn query_counts(rt: &crate::Runtime, before: &crate::StatsSnapshot) -> (u64, u64) {
+        let delta = rt.stats_snapshot().since(before);
+        (delta.queries_client_executed, delta.syncs_elided)
+    }
+
+    #[test]
+    fn guard_local_query_counts_are_exact_after_the_block() {
+        const UNSYNCED: u64 = 37;
+        const SYNCED: u64 = 5;
+        const REDUNDANT_SYNCS: u64 = 3;
+        let rt = crate::Runtime::new(RuntimeConfig::all_optimizations());
+        let handler = rt.spawn_handler((0..UNSYNCED).collect::<Vec<u64>>());
+        let before = rt.stats_snapshot();
+        let total = crate::reserve(&handler).run(|s| {
+            s.sync();
+            let mut total = 0;
+            for i in 0..UNSYNCED as usize {
+                total += s.query_unsynced(|v| v[i]);
+            }
+            for _ in 0..SYNCED {
+                total += s.query(|v| v[0]);
+            }
+            for _ in 0..REDUNDANT_SYNCS {
+                s.sync();
+            }
+            total
+        });
+        assert_eq!(total, (0..UNSYNCED).sum::<u64>());
+        // Every query here is client-executed with its sync elided; the
+        // explicit syncs after the first are elided too.
+        assert_eq!(
+            query_counts(&rt, &before),
+            (UNSYNCED + SYNCED, UNSYNCED + SYNCED + REDUNDANT_SYNCS)
+        );
+        assert_eq!(rt.stats_snapshot().since(&before).syncs_performed, 1);
+    }
+
+    #[test]
+    fn a_block_that_unwinds_still_publishes_its_query_counts() {
+        let rt = crate::Runtime::new(RuntimeConfig::all_optimizations());
+        let handler = rt.spawn_handler(7u64);
+        let before = rt.stats_snapshot();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::reserve(&handler).run(|s| {
+                s.sync();
+                s.query_unsynced(|n| *n);
+                s.query(|n| *n);
+                s.query(|_: &mut u64| -> u64 { panic!("query closure panics") })
+            })
+        }));
+        assert!(result.is_err());
+        assert_eq!(query_counts(&rt, &before), (3, 3));
+        // The write gate was released on unwind: the handler still serves.
+        assert_eq!(crate::reserve(&handler).run(|s| s.query(|n| *n)), 7);
+    }
+
+    #[test]
+    fn read_guard_query_counts_are_exact_after_the_block() {
+        let rt = crate::Runtime::new(RuntimeConfig::all_optimizations());
+        let handler = rt.spawn_handler(vec![1u64, 2, 3]);
+        let before = rt.stats_snapshot();
+        let sum = crate::reserve(&handler).read().run(|r| {
+            let mut sum = 0;
+            for i in 0..3 {
+                sum += r.query(|v| v[i]);
+            }
+            sum + r.query_async(|v| v.len() as u64).wait()
+        });
+        assert_eq!(sum, 9);
+        assert_eq!(query_counts(&rt, &before), (4, 0));
+
+        let before = rt.stats_snapshot();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::reserve(&handler).read().run(|r| {
+                r.query(|v| v[0]);
+                r.query(|_| -> u64 { panic!("read query closure panics") })
+            })
+        }));
+        assert!(result.is_err());
+        assert_eq!(query_counts(&rt, &before), (2, 0));
+        // The read hold was released on unwind: a writer gets in.
+        crate::reserve(&handler).run(|s| s.call(|v| v.push(4)));
+        assert_eq!(crate::reserve(&handler).run(|s| s.query(|v| v.len())), 4);
     }
 
     #[test]

@@ -45,7 +45,10 @@ fn batch_bucket_index(size: usize) -> usize {
 pub struct RuntimeStats {
     /// Asynchronous calls enqueued on private queues / request queues.
     pub calls_enqueued: AtomicU64,
-    /// Queries executed on the client after a sync (§3.2 optimisation).
+    /// Queries executed on the client after a sync (§3.2 optimisation),
+    /// and queries run by shared-read reservations.  Counted in the
+    /// reservation guard and published when its block ends: a block's
+    /// queries appear here once the block is over, not while it is open.
     pub queries_client_executed: AtomicU64,
     /// Queries packaged, sent to and executed by the handler.
     pub queries_handler_executed: AtomicU64,
@@ -53,7 +56,8 @@ pub struct RuntimeStats {
     pub queries_pipelined: AtomicU64,
     /// Sync round-trips actually performed (client blocked on the handler).
     pub syncs_performed: AtomicU64,
-    /// Sync operations elided by dynamic or static coalescing.
+    /// Sync operations elided by dynamic or static coalescing.  Published
+    /// when the block ends, like `queries_client_executed`.
     pub syncs_elided: AtomicU64,
     /// Separate blocks entered (single reservations).
     pub separate_blocks: AtomicU64,
@@ -140,6 +144,15 @@ impl RuntimeStats {
     #[inline]
     pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Adds a count gathered locally (one RMW for many events); skips the
+    /// RMW when there is nothing to add.
+    #[inline]
+    pub(crate) fn add(counter: &AtomicU64, count: u64) {
+        if count != 0 {
+            counter.fetch_add(count, Ordering::Relaxed);
+        }
     }
 
     /// Raises a high-water-mark counter to `value` if it is below it.

@@ -9,8 +9,9 @@
 //! [`push`](BoundedSpscProducer::push) (spin-then-park *backpressure*: the
 //! client is throttled to the handler's pace instead of queueing unbounded
 //! work), and whose consumer side drains *batches*
-//! ([`drain_batch`](BoundedSpscConsumer::drain_batch)) so the handler pays
-//! the queue-crossing cost once per batch instead of once per request.
+//! ([`try_drain_batch`](BoundedSpscConsumer::try_drain_batch)) so the
+//! handler pays the queue-crossing cost once per batch instead of once per
+//! request.
 //!
 //! The ring keeps the SPSC discipline of the unbounded queue: the producer
 //! owns the tail sequence, the consumer owns the head sequence, and each
@@ -383,22 +384,6 @@ impl<T> BoundedSpscConsumer<T> {
         crate::batch::try_drain_with(out, max, || self.try_dequeue())
     }
 
-    /// Drains a batch of up to `max` items into `out`, blocking until at
-    /// least one item is available or the queue is closed and drained.
-    ///
-    /// Returns `Dequeue::Item(n)` with `n >= 1` items appended to `out`, or
-    /// [`Dequeue::Closed`].  One blocking `drain_batch` observes exactly the
-    /// items that `n` repeated [`dequeue`](Self::dequeue) calls would have,
-    /// in the same order — batching changes cost, not semantics.
-    pub fn drain_batch(&self, out: &mut Vec<T>, max: usize) -> Dequeue<usize> {
-        crate::batch::drain_batch_with(
-            out,
-            max,
-            |out, max| self.try_drain_batch(out, max),
-            || self.park_until_work(),
-        )
-    }
-
     fn park_until_work(&self) {
         let queue = &*self.queue;
         queue.consumer.park_until(|| self.has_work_or_closed());
@@ -532,12 +517,13 @@ mod tests {
             tx.try_push(i).unwrap();
         }
         let mut out = Vec::new();
-        assert_eq!(rx.drain_batch(&mut out, 4), Dequeue::Item(4));
+        assert_eq!(rx.try_drain_batch(&mut out, 4), Ok(4));
         assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(rx.drain_batch(&mut out, 4), Dequeue::Item(2));
+        assert_eq!(rx.try_drain_batch(&mut out, 4), Ok(2));
         assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(rx.try_drain_batch(&mut out, 4), Ok(0), "empty but open");
         tx.close();
-        assert_eq!(rx.drain_batch(&mut out, 4), Dequeue::Closed);
+        assert_eq!(rx.try_drain_batch(&mut out, 4), Err(Closed));
     }
 
     #[test]
@@ -555,9 +541,10 @@ mod tests {
         let mut batch = Vec::new();
         loop {
             assert!(rx.queue().len() <= CAPACITY, "ring exceeded its capacity");
-            match rx.drain_batch(&mut batch, 5) {
-                Dequeue::Closed => break,
-                Dequeue::Item(_) => {
+            match rx.try_drain_batch(&mut batch, 5) {
+                Err(Closed) => break,
+                Ok(0) => thread::yield_now(),
+                Ok(_) => {
                     for v in batch.drain(..) {
                         assert_eq!(v, expected);
                         expected += 1;

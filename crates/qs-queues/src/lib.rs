@@ -23,11 +23,12 @@
 //! * a **capacity-bounded SPSC ring** ([`bounded`]) whose blocking `push`
 //!   applies *backpressure* to clients that outrun their handler, instead of
 //!   growing the private queue without limit; and
-//! * **batch draining** (`drain_batch` on every consumer flavour, including
-//!   [`MutexQueue`]), so the handler amortises its dequeue overhead — one
-//!   lock acquisition per batch on the mutex queue, one spin/park round and
-//!   one accounting update per batch on the lock-free queues — instead of
-//!   paying it per request.
+//! * **batch draining** (a non-blocking `try_drain_batch` on every consumer
+//!   flavour, including [`MutexQueue`]), so the handler amortises its
+//!   dequeue overhead — one lock acquisition per batch on the mutex queue,
+//!   one poll per batch on the lock-free queues — instead of paying it per
+//!   request.  The handler polls and is re-armed by a [`WakeHook`]; the
+//!   blocking single `dequeue`s remain for consumers that own a thread.
 //!
 //! The [`mailbox`] module unifies the bounded and unbounded private queues
 //! behind one producer/consumer pair, keyed by an optional capacity.

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use crate::bounded::{bounded_spsc_channel, BoundedSpscConsumer, BoundedSpscProducer, Full};
 use crate::spsc::{spsc_channel, SpscConsumer, SpscProducer};
-use crate::{BlockWatcher, Closed, Dequeue, WakeHook, WakeReason};
+use crate::{BlockWatcher, Closed, WakeHook, WakeReason};
 
 /// The two underlying queue flavours of a mailbox producer.
 enum ProducerFlavour<T> {
@@ -210,29 +210,12 @@ impl<T> MailboxConsumer<T> {
         }
     }
 
-    /// Dequeues the next item, blocking while the mailbox is empty but open.
-    pub fn dequeue(&self) -> Dequeue<T> {
-        match self {
-            MailboxConsumer::Unbounded(rx) => rx.dequeue(),
-            MailboxConsumer::Bounded(rx) => rx.dequeue(),
-        }
-    }
-
     /// Drains up to `max` immediately available items into `out` without
     /// blocking; `Err(Closed)` once closed and fully drained.
     pub fn try_drain_batch(&self, out: &mut Vec<T>, max: usize) -> Result<usize, Closed> {
         match self {
             MailboxConsumer::Unbounded(rx) => rx.try_drain_batch(out, max),
             MailboxConsumer::Bounded(rx) => rx.try_drain_batch(out, max),
-        }
-    }
-
-    /// Drains a batch of up to `max` items into `out`, blocking until at
-    /// least one item is available or the mailbox is closed and drained.
-    pub fn drain_batch(&self, out: &mut Vec<T>, max: usize) -> Dequeue<usize> {
-        match self {
-            MailboxConsumer::Unbounded(rx) => rx.drain_batch(out, max),
-            MailboxConsumer::Bounded(rx) => rx.drain_batch(out, max),
         }
     }
 
@@ -312,7 +295,9 @@ mod tests {
         assert_eq!(tx.total_stalls(), 0);
         tx.close();
         let mut out = Vec::new();
-        while let Dequeue::Item(_) = rx.drain_batch(&mut out, 64) {}
+        while let Ok(drained) = rx.try_drain_batch(&mut out, 64) {
+            assert!((1..=64).contains(&drained));
+        }
         assert_eq!(out, (0..1_000).collect::<Vec<_>>());
         assert_eq!(rx.total_dequeued(), 1_000);
     }
@@ -329,7 +314,9 @@ mod tests {
         tx.try_enqueue(4).unwrap();
         tx.close();
         let mut out = Vec::new();
-        while let Dequeue::Item(_) = rx.drain_batch(&mut out, 2) {}
+        while let Ok(drained) = rx.try_drain_batch(&mut out, 2) {
+            assert!((1..=2).contains(&drained));
+        }
         assert_eq!(out, vec![2, 3, 4]);
     }
 
@@ -339,8 +326,8 @@ mod tests {
             let (tx, rx) = mailbox(capacity);
             tx.enqueue('x');
             tx.close();
-            assert_eq!(rx.dequeue(), Dequeue::Item('x'));
-            assert_eq!(rx.dequeue(), Dequeue::Closed);
+            assert_eq!(rx.try_dequeue(), Ok(Some('x')));
+            assert_eq!(rx.try_dequeue(), Err(Closed));
             assert_eq!(rx.total_enqueued(), 1);
         }
     }

@@ -10,8 +10,8 @@
 //! configuration gets the same mailbox semantics as the queue-of-queues one:
 //! [`with_capacity`](MutexQueue::with_capacity) bounds the queue (producers
 //! block — *backpressure* — instead of growing it without limit) and
-//! [`drain_batch`](MutexQueue::drain_batch) hands the consumer a whole batch
-//! per lock acquisition instead of one item.
+//! [`try_drain_batch`](MutexQueue::try_drain_batch) hands the consumer a
+//! whole batch per lock acquisition instead of one item.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -346,29 +346,6 @@ impl<T> MutexQueue<T> {
         Ok(drained)
     }
 
-    /// Drains a batch of up to `max` items into `out`, blocking until at
-    /// least one item is available or the queue is closed and drained.
-    ///
-    /// One `drain_batch` under the lock replaces `n` lock round-trips of
-    /// repeated [`dequeue`](Self::dequeue), observing the same items in the
-    /// same order.
-    pub fn drain_batch(&self, out: &mut Vec<T>, max: usize) -> Dequeue<usize> {
-        let max = max.max(1);
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if !inner.items.is_empty() {
-                let drained = self.drain_locked(&mut inner, out, max);
-                drop(inner);
-                self.notify_space();
-                return Dequeue::Item(drained);
-            }
-            if inner.closed {
-                return Dequeue::Closed;
-            }
-            inner = self.not_empty.wait(inner).unwrap();
-        }
-    }
-
     fn drain_locked(&self, inner: &mut Inner<T>, out: &mut Vec<T>, max: usize) -> usize {
         let take = inner.items.len().min(max);
         out.extend(inner.items.drain(..take));
@@ -529,7 +506,7 @@ mod tests {
         }
         q.close();
         let mut got = Vec::new();
-        while let Dequeue::Item(n) = q.drain_batch(&mut got, 7) {
+        while let Ok(n) = q.try_drain_batch(&mut got, 7) {
             assert!((1..=7).contains(&n));
         }
         assert_eq!(got, (0..50).collect::<Vec<_>>());
@@ -557,9 +534,15 @@ mod tests {
             consumers.push(thread::spawn(move || {
                 let mut count = 0usize;
                 let mut batch = Vec::new();
-                while let Dequeue::Item(n) = q.drain_batch(&mut batch, 16) {
-                    count += n;
-                    batch.clear();
+                loop {
+                    match q.try_drain_batch(&mut batch, 16) {
+                        Err(Closed) => break,
+                        Ok(0) => thread::yield_now(),
+                        Ok(n) => {
+                            count += n;
+                            batch.clear();
+                        }
+                    }
                 }
                 count
             }));

@@ -263,22 +263,6 @@ impl<T> SpscConsumer<T> {
         crate::batch::try_drain_with(out, max, || self.try_dequeue())
     }
 
-    /// Drains a batch of up to `max` items into `out`, blocking until at
-    /// least one item is available or the queue is closed and drained.
-    ///
-    /// Returns `Dequeue::Item(n)` with `n >= 1` items appended to `out`, or
-    /// [`Dequeue::Closed`].  A blocking `drain_batch` observes exactly the
-    /// items that `n` repeated [`dequeue`](Self::dequeue) calls would have,
-    /// in the same order — batching changes cost, not semantics.
-    pub fn drain_batch(&self, out: &mut Vec<T>, max: usize) -> Dequeue<usize> {
-        crate::batch::drain_batch_with(
-            out,
-            max,
-            |out, max| self.try_drain_batch(out, max),
-            || self.park_until_work(),
-        )
-    }
-
     fn park_until_work(&self) {
         self.queue.consumer.park_until(|| self.has_work_or_closed());
     }
@@ -475,7 +459,7 @@ mod tests {
         }
         tx.close();
         let mut got = Vec::new();
-        while let Dequeue::Item(drained) = rx.drain_batch(&mut got, 13) {
+        while let Ok(drained) = rx.try_drain_batch(&mut got, 13) {
             assert!((1..=13).contains(&drained));
         }
         assert_eq!(got, (0..n).collect::<Vec<_>>());

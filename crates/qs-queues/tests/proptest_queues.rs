@@ -6,7 +6,7 @@
 //! interleavings.
 
 use proptest::prelude::*;
-use qs_queues::{bounded_spsc_channel, spsc_channel, Dequeue, MutexQueue, QueueOfQueues};
+use qs_queues::{bounded_spsc_channel, spsc_channel, Closed, Dequeue, MutexQueue, QueueOfQueues};
 use std::sync::Arc;
 use std::thread;
 
@@ -133,7 +133,9 @@ proptest! {
 
     /// Draining in batches is observably equivalent to repeated single
     /// dequeues: same items, same order, same close behaviour — for any
-    /// batch limit, capacity and item count.
+    /// batch limit, capacity and item count.  The batches come from the
+    /// handler's drain path: non-blocking `try_drain_batch`, re-polled
+    /// while the ring is empty but open.
     #[test]
     fn bounded_drain_batch_equals_repeated_dequeue(
         items in proptest::collection::vec(any::<u16>(), 0..600),
@@ -153,8 +155,12 @@ proptest! {
             });
             let mut got = Vec::new();
             if by_batch {
-                while let Dequeue::Item(n) = rx.drain_batch(&mut got, max_batch) {
-                    assert!(n >= 1 && n <= max_batch);
+                loop {
+                    match rx.try_drain_batch(&mut got, max_batch) {
+                        Err(Closed) => break,
+                        Ok(0) => thread::yield_now(),
+                        Ok(n) => assert!(n <= max_batch),
+                    }
                 }
             } else {
                 while let Dequeue::Item(v) = rx.dequeue() {
@@ -168,7 +174,8 @@ proptest! {
     }
 
     /// The bounded MutexQueue (the lock-based configuration's mailbox) keeps
-    /// the same FIFO/exactly-once guarantees and honours its capacity bound.
+    /// the same FIFO/exactly-once guarantees and honours its capacity bound,
+    /// drained the way the handler drains it (`try_drain_batch` polls).
     #[test]
     fn bounded_mutex_queue_is_fifo_and_respects_capacity(
         items in proptest::collection::vec(any::<u32>(), 0..800),
@@ -189,9 +196,10 @@ proptest! {
         let mut got = Vec::new();
         loop {
             prop_assert!(q.len() <= capacity, "len exceeded capacity {}", capacity);
-            match q.drain_batch(&mut got, max_batch) {
-                Dequeue::Item(n) => prop_assert!(n >= 1 && n <= max_batch),
-                Dequeue::Closed => break,
+            match q.try_drain_batch(&mut got, max_batch) {
+                Err(Closed) => break,
+                Ok(0) => thread::yield_now(),
+                Ok(n) => prop_assert!(n <= max_batch),
             }
         }
         producer.join().unwrap();

@@ -85,8 +85,9 @@ impl fmt::Display for OptimizationLevel {
 /// runtime offers both substitutions:
 ///
 /// * [`Dedicated`](SchedulerMode::Dedicated) — one (cached) OS thread per
-///   *live* handler.  Handler bodies may block freely, but the number of
-///   concurrently live handlers is capped by what the OS tolerates in
+///   *live* handler, stepping the same resumable loop as the pool and
+///   parking while idle.  Handler bodies may block freely, but the number
+///   of concurrently live handlers is capped by what the OS tolerates in
 ///   threads.
 /// * [`Pooled`](SchedulerMode::Pooled) — M:N: every handler is a resumable
 ///   task on a fixed work-stealing worker pool

@@ -14,18 +14,21 @@
 //! [`RuntimeConfig::queue_of_queues`] is off) drains a single shared request
 //! queue instead.
 //!
-//! Both loops exist in two forms, selected by [`RuntimeConfig::scheduler`]:
+//! Each loop is written once, as a resumable state machine
+//! ([`PooledHandler`]) whose step *returns* [`qs_exec::StepOutcome::Idle`]
+//! when its queues are momentarily empty.  Every producer fires the
+//! handler's wake hook when it makes work visible.  What drives the step is
+//! selected by [`RuntimeConfig::scheduler`]:
 //!
-//! * **dedicated** ([`HandlerCore::run`]) — the loop owns an OS thread (from
-//!   the [`qs_exec::ThreadCache`]) and *blocks* inside the queue dequeues
-//!   while idle, so live handler count is bounded by OS thread count;
-//! * **pooled** (the default; [`PooledHandler`]) — the loop is a resumable
-//!   state machine whose step *returns* [`qs_exec::StepOutcome::Idle`] when
-//!   its queues are momentarily empty.  The [`qs_exec::HandlerScheduler`]
-//!   re-arms it when a producer fires the handler's wake hook, so tens of
-//!   thousands of mostly-idle handlers share a handful of worker threads.
+//! * **pooled** (the default) — the [`qs_exec::HandlerScheduler`] steps the
+//!   handler on a shared worker and the hook re-arms it, so tens of
+//!   thousands of mostly-idle handlers share a handful of worker threads;
+//! * **dedicated** ([`dedicated_thread_body`]) — the handler owns an OS
+//!   thread (from the [`qs_exec::ThreadCache`]) that steps it in a loop
+//!   and, on `Idle`, spins then parks until the hook fires, so live handler
+//!   count is bounded by OS thread count.
 //!
-//! The pooled form preserves the §3.2 client-executed-query contract: after
+//! The step preserves the §3.2 client-executed-query contract: after
 //! completing a sync the handler cannot proceed past the syncing client's
 //! private queue (its step only re-polls that queue and goes idle), so the
 //! client's direct object access still races with nothing.
@@ -38,9 +41,7 @@ use std::sync::Arc;
 
 use qs_deadlock::{EdgeGuard, EdgeKind, ParticipantId};
 use qs_exec::{PooledTask, StepOutcome};
-use qs_queues::{
-    Closed, Dequeue, MailboxConsumer, MutexQueue, QueueOfQueues, WakeHook, WakeReason,
-};
+use qs_queues::{Closed, MailboxConsumer, MutexQueue, QueueOfQueues, WakeHook, WakeReason};
 use qs_sync::{Backoff, Event, OnceValue, Parker, ReadGate, SpinLock};
 
 use crate::config::RuntimeConfig;
@@ -84,8 +85,9 @@ fn batch_prealloc(max_batch: usize) -> usize {
     max_batch.min(1024)
 }
 
-/// Requests a pooled handler may apply before yielding the worker (fairness
-/// between handlers sharing a pool; counted in `handler_yields`).
+/// Requests a handler may apply before its step yields (fairness between
+/// handlers sharing a pool; counted in `handler_yields`).  A dedicated
+/// thread runs the same step and simply steps again after a yield.
 ///
 /// The *remaining* budget persists in [`PooledLoopState`] across scheduler
 /// steps and is refilled only once it is spent — i.e. only after the handler
@@ -93,8 +95,9 @@ fn batch_prealloc(max_batch: usize) -> usize {
 /// so an immediately re-enqueued hot handler cannot restart from a full
 /// budget and monopolise its worker.  While a mailbox reports backpressure
 /// the remaining budget additionally shrinks to one batch
-/// (`RuntimeConfig::max_batch`; counted in `budget_shrinks`), restoring the
-/// fine producer/consumer interleaving of dedicated threads.
+/// (`RuntimeConfig::max_batch`; counted in `budget_shrinks`), so a
+/// backpressured producer and its handler interleave finely instead of in
+/// ring-sized bursts.
 const YIELD_BUDGET: usize = 1024;
 
 /// Shared state of one handler, owned jointly by the handler thread and all
@@ -134,10 +137,10 @@ pub(crate) struct HandlerCore<T> {
     finished: Event,
     final_value: SpinLock<Option<T>>,
 
-    /// Pooled-mode wake hook: copied into every mailbox producer this
-    /// handler hands out and registered on the queue-of-queues / request
-    /// queue, so any producer making work visible re-arms the handler's
-    /// scheduler task.  Unset in dedicated mode.
+    /// Wake hook: copied into every mailbox producer this handler hands out
+    /// and registered on the queue-of-queues / request queue, so any
+    /// producer making work visible re-arms the handler — its scheduler
+    /// task (pooled) or its parked thread (dedicated).
     wake_hook: OnceValue<WakeHook>,
 
     /// Deadlock-detection hook (registry + this handler's participant
@@ -202,8 +205,8 @@ impl<T: Send + 'static> HandlerCore<T> {
         })
     }
 
-    /// Registers the pooled-mode wake hook on the handler and its queues.
-    /// Must be called before any client can reach the handler (i.e. before
+    /// Registers the wake hook on the handler and its queues.  Must be
+    /// called before any client can reach the handler (i.e. before
     /// `spawn_handler` returns its handle).
     pub(crate) fn set_wake_hook(&self, hook: WakeHook) {
         self.qoq.set_wake_hook(Arc::clone(&hook));
@@ -211,9 +214,11 @@ impl<T: Send + 'static> HandlerCore<T> {
         let _ = self.wake_hook.set(hook);
     }
 
-    /// The pooled-mode wake hook, if this handler is pool-scheduled.
-    pub(crate) fn wake_hook(&self) -> Option<&WakeHook> {
-        self.wake_hook.get()
+    /// The handler's wake hook (registered under both scheduling modes).
+    pub(crate) fn wake_hook(&self) -> &WakeHook {
+        self.wake_hook
+            .get()
+            .expect("the wake hook is set before the handler's handle escapes")
     }
 
     /// Pointer to the handler-owned object.
@@ -287,10 +292,9 @@ impl<T: Send + 'static> HandlerCore<T> {
     }
 
     /// Takes the object's gate in write mode, blocking the calling thread
-    /// behind any active readers.  Used by the dedicated main loops (the
-    /// thread owns nothing else while parked) and by client-executed queries
-    /// (`waiter` names the client); the pooled step never blocks — it
-    /// stashes its batch and yields instead (see
+    /// behind any active readers.  Used by client-executed queries
+    /// (`waiter` names the client).  The handler's own step never blocks on
+    /// the gate: it stashes its batch and goes idle instead (see
     /// [`apply_batch`](Self::apply_batch)).
     pub(crate) fn write_gate_blocking(&self, waiter: Option<ParticipantId>) {
         if self.gate.try_write() {
@@ -348,26 +352,14 @@ impl<T: Send + 'static> HandlerCore<T> {
         self.stopped.load(Ordering::Acquire)
     }
 
-    /// Handler thread body (dedicated scheduling mode): drains work until
-    /// stopped, then parks the final object value for retrieval.
-    pub(crate) fn run(self: &Arc<Self>) {
-        if self.config.queue_of_queues {
-            self.run_queue_of_queues();
-        } else {
-            self.run_lock_based();
-        }
-        self.finish();
-    }
-
-    /// Terminal transition shared by both scheduling modes: moves the object
-    /// out so `shutdown_and_take` can return it and signals completion.
+    /// Terminal transition of the handler loop: moves the object out so
+    /// `shutdown_and_take` can return it and signals completion.
     pub(crate) fn finish(self: &Arc<Self>) {
         qs_obs::trace(qs_obs::TraceKind::HandlerRetire, self.id, 0);
         if !self.object_taken.swap(true, Ordering::AcqRel) {
-            // SAFETY: the handler loop has exited (dedicated) or stepped to
-            // `Done` (pooled; the scheduler never steps a done task again),
-            // no request will ever touch the object again, and the
-            // `object_taken` flag guarantees a single take.
+            // SAFETY: the handler stepped to `Done` (nothing steps a done
+            // task again), no request will ever touch the object again, and
+            // the `object_taken` flag guarantees a single take.
             let value = unsafe { ManuallyDrop::take(&mut *self.object.get()) };
             *self.final_value.lock() = Some(value);
         }
@@ -392,89 +384,22 @@ impl<T: Send + 'static> HandlerCore<T> {
         ))
     }
 
-    /// Fig. 7: the queue-of-queues main loop, batch-drained.
+    /// One step of the Fig. 7 queue-of-queues loop, batch-drained.
     ///
-    /// Instead of paying one queue crossing per request, the handler pulls up
-    /// to [`RuntimeConfig::max_batch`] requests from the current private
-    /// queue at a time and applies them back to back.  Within a batch the
-    /// semantics are unchanged: requests were drained in FIFO order, and a
-    /// `Sync` request is always the last of its batch, because the client
-    /// blocks on the sync handoff before it can log anything further — so
-    /// after completing a sync the handler goes back to (blocking) drain,
-    /// i.e. it is parked from the client's point of view, which is what makes
-    /// client-executed queries race-free (§3.2).
-    fn run_queue_of_queues(self: &Arc<Self>) {
-        let max_batch = self.config.max_batch.max(1);
-        let mut batch: Vec<Request<T>> = Vec::with_capacity(batch_prealloc(max_batch));
-        // RUN rule: take the next private queue, if any.
-        while let Dequeue::Item(private_queue) = self.qoq.dequeue() {
-            // Process calls from this private queue until the client ends its
-            // separate block (END rule: on this path the end of a block is
-            // the mailbox close — `Request::End` never enters a private
-            // queue, so every drained request is applied).
-            loop {
-                let drained = match private_queue
-                    .consumer
-                    .try_drain_batch(&mut batch, max_batch)
-                {
-                    Err(Closed) => break,
-                    Ok(0) => {
-                        // Momentarily empty but open: from here until work
-                        // arrives the handler is parked on the client's
-                        // queue — the Serving wait-for edge.
-                        let _serving = self.serving_edge(&private_queue);
-                        match private_queue.consumer.drain_batch(&mut batch, max_batch) {
-                            Dequeue::Closed => break,
-                            Dequeue::Item(drained) => drained,
-                        }
-                    }
-                    Ok(drained) => drained,
-                };
-                self.apply_batch_blocking(&mut batch, drained);
-            }
-            // END of this client's block: its calls may have changed state a
-            // parked `reserve().when` condition depends on, so conservatively
-            // signal the pending guards (probe blocks stay silent).
-            if private_queue.signal_on_close {
-                self.guards.signal_all();
-            }
-        }
-    }
-
-    /// The pre-Qs lock-based loop: a single shared request queue, drained in
-    /// batches under one lock acquisition each.
-    fn run_lock_based(self: &Arc<Self>) {
-        let max_batch = self.config.max_batch.max(1);
-        let mut batch: Vec<Request<T>> = Vec::with_capacity(batch_prealloc(max_batch));
-        while let Dequeue::Item(drained) = self.request_queue.drain_batch(&mut batch, max_batch) {
-            self.apply_batch_blocking(&mut batch, drained);
-        }
-    }
-
-    /// Dedicated-mode batch application: record, take the object's gate in
-    /// write mode (blocking this thread behind readers), apply, release.
-    /// With no read reservation active the gate costs one uncontended CAS.
-    fn apply_batch_blocking(&self, batch: &mut Vec<Request<T>>, drained: usize) {
-        self.stats.record_batch(drained);
-        qs_obs::trace(qs_obs::TraceKind::MailboxDrain, self.id, drained as u64);
-        self.write_gate_blocking(None);
-        for request in batch.drain(..) {
-            self.apply(request);
-        }
-        self.gate.end_write();
-    }
-
-    /// One pooled scheduler step of the Fig. 7 queue-of-queues loop.
-    ///
-    /// Resumable transcription of [`run_queue_of_queues`]
-    /// (Self::run_queue_of_queues): the blocking dequeues become polls, and
-    /// the loop position (which private queue is being drained) lives in
-    /// `state` across steps.  Care point (§3.2): when the current private
-    /// queue is empty but open — which is exactly the situation after
-    /// completing a sync for a client that may now be executing a query on
-    /// the object — the step returns [`StepOutcome::Idle`] *without
-    /// advancing past that queue* and without touching the object, so being
-    /// rescheduled by an unrelated producer's wake is harmless.
+    /// RUN rule: take the next private queue; then drain up to
+    /// [`RuntimeConfig::max_batch`] requests from it at a time and apply
+    /// them back to back, until the client closes it (END rule).  Within a
+    /// batch the semantics are those of single dequeues: requests are
+    /// drained in FIFO order, and a `Sync` is always the last of its batch,
+    /// because the client blocks on the sync handoff before it can log
+    /// anything further.  The dequeues are polls, and the loop position
+    /// (which private queue is being drained) lives in `state` across
+    /// steps.  Care point (§3.2): when the current private queue is empty
+    /// but open — which is exactly the situation after completing a sync
+    /// for a client that may now be executing a query on the object — the
+    /// step returns [`StepOutcome::Idle`] *without advancing past that
+    /// queue* and without touching the object, so being rescheduled by an
+    /// unrelated producer's wake is harmless.
     fn step_queue_of_queues(&self, state: &mut PooledLoopState<T>) -> StepOutcome {
         let max_batch = self.config.max_batch.max(1);
         state.refill_budget_if_spent();
@@ -520,10 +445,9 @@ impl<T: Send + 'static> HandlerCore<T> {
                 // When this mailbox's producer has blocked for space since
                 // the last idle transition (a backpressured pipeline, likely
                 // refilling the ring right now), spin-repoll briefly before
-                // conceding Idle — the polling analogue of the dedicated
-                // consumer's spin-then-park, without which every ring refill
-                // costs a full scheduler wake round-trip.  The spin only
-                // re-polls this same queue, so the §3.2 guarantee is
+                // conceding Idle, without which every ring refill costs a
+                // full wake round-trip (scheduler or parked thread).  The
+                // spin only re-polls this same queue, so the §3.2 guarantee is
                 // untouched; the stalls-recency gate keeps long-quiet queues
                 // from paying the backoff ladder on every idle transition.
                 Ok(0) => {
@@ -533,11 +457,11 @@ impl<T: Send + 'static> HandlerCore<T> {
                         continue;
                     }
                     state.stalls_seen = stalls;
-                    // Going idle on an open private queue: the pooled
-                    // analogue of the dedicated loop's parked blocking
-                    // drain.  Register the Serving wait-for edge (once; it
-                    // persists across re-polls of the same empty queue) so
-                    // the deadlock detector can walk through this handler.
+                    // Going idle on an open private queue: the handler is
+                    // parked on the client.  Register the Serving wait-for
+                    // edge (once; it persists across re-polls of the same
+                    // empty queue) so the deadlock detector can walk through
+                    // this handler.
                     if state.serving.is_none() {
                         state.serving = self.serving_edge(current);
                     }
@@ -556,11 +480,11 @@ impl<T: Send + 'static> HandlerCore<T> {
         }
     }
 
-    /// One pooled scheduler step of the lock-based loop: poll-drain the
-    /// single shared request queue.  The §3.2 argument holds here too: a
-    /// client-executed query runs while the caller holds the handler lock
-    /// and the request queue is empty, and an empty poll touches only the
-    /// queue, never the object.
+    /// One step of the pre-Qs lock-based loop: poll-drain the single shared
+    /// request queue, one lock acquisition per batch.  The §3.2 argument
+    /// holds here too: a client-executed query runs while the caller holds
+    /// the handler lock and the request queue is empty, and an empty poll
+    /// touches only the queue, never the object.
     fn step_lock_based(&self, state: &mut PooledLoopState<T>) -> StepOutcome {
         let max_batch = self.config.max_batch.max(1);
         state.refill_budget_if_spent();
@@ -657,11 +581,9 @@ impl<T: Send + 'static> HandlerCore<T> {
             // Lost-wake protocol: enlist the wake hook, then re-try — either
             // the retry sees the gate free, or the releasing reader sees the
             // hook.
-            if let Some(hook) = self.wake_hook() {
-                let hook = Arc::clone(hook);
-                self.gate
-                    .enlist(Arc::new(move || hook(WakeReason::Writable)));
-            }
+            let hook = Arc::clone(self.wake_hook());
+            self.gate
+                .enlist(Arc::new(move || hook(WakeReason::Writable)));
             if !self.gate.try_write() {
                 state.pending = Some((drained, pressured));
                 return None;
@@ -761,11 +683,13 @@ impl<T> PooledLoopState<T> {
     }
 }
 
-/// The [`PooledTask`] adapter running a handler on the M:N scheduler.
+/// The [`PooledTask`] adapter running a handler's loop, stepped by the M:N
+/// scheduler (pooled) or by the handler's own thread
+/// ([`dedicated_thread_body`]).
 pub(crate) struct PooledHandler<T: Send + 'static> {
     core: Arc<HandlerCore<T>>,
-    /// Loop state; the scheduler runs at most one step of a task at a time,
-    /// so this lock is uncontended and only fences the state against the
+    /// Loop state; the task is never stepped twice at the same time, so
+    /// this lock is uncontended and only fences the state against the
     /// `Send`-across-workers handoff.
     state: SpinLock<PooledLoopState<T>>,
 }
@@ -791,15 +715,15 @@ impl<T: Send + 'static> PooledHandler<T> {
 
 impl<T: Send + 'static> Drop for PooledHandler<T> {
     fn drop(&mut self) {
-        // A pooled task can be retired without stepping to Done (a panic
-        // escaping a step, scheduler teardown).  The core outlives it
-        // (clients hold handles), so any requests still queued would sit
+        // A task can be retired without stepping to Done (a panic escaping
+        // a step, scheduler teardown).  The core outlives it (clients hold
+        // handles), so any requests still queued would sit
         // there forever — including sync/query completion guards whose
         // clients are parked on them.  Drain everything: dropping the
         // requests fires those guards' abandon-on-drop, waking the clients
         // into a panic instead of a permanent hang.  No step can be running
-        // concurrently (the scheduler runs at most one step at a time, and
-        // the task is unreachable now), so this is the sole consumer.
+        // concurrently (the task is never stepped twice at once, and it is
+        // unreachable now), so this is the sole consumer.
         {
             let mut state = self.state.lock();
             state.serving = None;
@@ -841,6 +765,74 @@ impl<T: Send + 'static> PooledTask for PooledHandler<T> {
             StepOutcome::Idle => {}
         }
         outcome
+    }
+}
+
+/// Dedicated-mode wake signal between a handler's wake hook and the thread
+/// stepping it.  The hook raises `pending` and unparks the thread; the
+/// thread consumes `pending` before each step that follows an idle one.
+/// Both sides are RMWs on one flag, so they are totally ordered: either the
+/// consuming swap reads a raise (and the next step sees the work published
+/// before it), or the raise comes later, finds the flag clear and unparks.
+#[derive(Default)]
+struct DedicatedWake {
+    pending: AtomicBool,
+    parker: Parker,
+}
+
+impl DedicatedWake {
+    /// Raises the signal.  Returns `true` when the flag was clear (the
+    /// handler is re-armed); only that raise needs to unpark the thread.
+    fn raise(&self) -> bool {
+        if self.pending.swap(true, Ordering::SeqCst) {
+            return false;
+        }
+        self.parker.wake();
+        true
+    }
+
+    /// Spins, then parks, until the signal is raised, and consumes it.
+    fn wait(&self) {
+        let backoff = Backoff::new();
+        while !self.pending.load(Ordering::Acquire) {
+            if backoff.is_completed() {
+                self.parker
+                    .park_until(|| self.pending.load(Ordering::Acquire));
+            } else {
+                backoff.snooze();
+            }
+        }
+        // A swap, not a store: a plain store could be ordered after the
+        // next step's polls, and a raise landing in between would be lost.
+        self.pending.swap(false, Ordering::SeqCst);
+    }
+}
+
+/// Dedicated scheduling: registers `core`'s wake hook and returns the body
+/// of the OS thread that owns the handler.  The thread runs the same
+/// [`PooledHandler`] step the pool runs: it steps again on `Yielded`, spins
+/// then parks until the hook fires on `Idle`, and returns on `Done` (the
+/// step has already called [`HandlerCore::finish`]).  Each raise that
+/// re-arms the handler counts in `handler_wakeups`; no wake counts in
+/// `pressure_wakes`, which stays specific to the pool's priority lane.
+pub(crate) fn dedicated_thread_body<T: Send + 'static>(
+    core: &Arc<HandlerCore<T>>,
+) -> impl FnOnce() + Send + 'static {
+    let wake = Arc::new(DedicatedWake::default());
+    let hook_wake = Arc::clone(&wake);
+    let stats = Arc::clone(&core.stats);
+    core.set_wake_hook(Arc::new(move |_reason| {
+        if hook_wake.raise() {
+            RuntimeStats::bump(&stats.handler_wakeups);
+        }
+    }));
+    let handler = PooledHandler::new(Arc::clone(core));
+    move || loop {
+        match handler.step() {
+            StepOutcome::Yielded => {}
+            StepOutcome::Idle => wake.wait(),
+            StepOutcome::Done => return,
+        }
     }
 }
 
@@ -979,8 +971,7 @@ mod tests {
         // directly).
         let stats = RuntimeStats::new();
         let core = HandlerCore::new(1, config, stats, object, None);
-        let thread_core = Arc::clone(&core);
-        std::thread::spawn(move || thread_core.run());
+        std::thread::spawn(dedicated_thread_body(&core));
         Handler::from_core(core)
     }
 

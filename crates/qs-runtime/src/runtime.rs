@@ -10,7 +10,7 @@ use qs_queues::{WakeHook, WakeReason};
 
 use crate::config::{DeadlockPolicy, OptimizationLevel, RuntimeConfig, SchedulerMode};
 use crate::deadlock::Tracking;
-use crate::handler::{Handler, HandlerCore, HandlerId, PooledHandler};
+use crate::handler::{dedicated_thread_body, Handler, HandlerCore, HandlerId, PooledHandler};
 use crate::stats::{RuntimeStats, StatsSnapshot};
 
 /// Scan interval of the deadlock detector (when `DeadlockPolicy` is on).
@@ -39,9 +39,11 @@ impl DeadlockRuntime {
             DEADLOCK_TICK,
             policy.breaks_cycles(),
             move |report| {
-                RuntimeStats::bump(&stats.deadlocks_detected);
                 eprintln!("[qs-runtime] deadlock detected: {report}");
+                // Stored before it is counted, so whoever sees the count can
+                // already retrieve the report.
                 sink.lock().push(report.clone());
+                RuntimeStats::bump(&stats.deadlocks_detected);
             },
         );
         DeadlockRuntime {
@@ -252,11 +254,13 @@ impl Runtime {
         let core = HandlerCore::new(id, config, Arc::clone(&self.inner.stats), object, tracking);
         match config.scheduler {
             SchedulerMode::Dedicated => {
-                // One cached OS thread per live handler; creating/retiring
-                // handlers stays cheap (the paper's lightweight-thread
-                // substitution), but live handler count is thread-bounded.
-                let thread_core = Arc::clone(&core);
-                self.inner.thread_cache.run(move || thread_core.run());
+                // One cached OS thread per live handler, stepping the same
+                // loop the pool steps and parking while idle; creating and
+                // retiring handlers stays cheap (the paper's
+                // lightweight-thread substitution), but live handler count
+                // is thread-bounded.  The wake hook is registered before the
+                // handle escapes.
+                self.inner.thread_cache.run(dedicated_thread_body(&core));
             }
             SchedulerMode::Pooled { .. } => {
                 // M:N: the handler becomes a resumable task; producers

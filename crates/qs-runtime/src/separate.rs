@@ -92,12 +92,9 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
     ) -> Self {
         if lock_guard.is_none() && core.config.queue_of_queues {
             let (producer, consumer) = mailbox(core.config.mailbox_capacity);
-            // Pooled scheduling: every request logged into this private
-            // queue must re-arm the handler's scheduler task.
-            let producer = match core.wake_hook() {
-                Some(hook) => producer.with_wake_hook(Arc::clone(hook)),
-                None => producer,
-            };
+            // Every request logged into this private queue must re-arm the
+            // handler (its scheduler task or its parked thread).
+            let producer = producer.with_wake_hook(Arc::clone(core.wake_hook()));
             // Deadlock tracking: tag the queue with the reserving party so
             // the handler's "parked on this open queue" state becomes a
             // named Serving edge, validated at scan time by the
@@ -562,9 +559,8 @@ impl<'a, T: Send + 'static> Separate<'a, T> {
             // there promptly: a Guard wake rides the priority lane like
             // Pressure, keeping wake-to-resume latency low under load.
             if self.signal_guards && self.core.guards.has_waiters() {
-                if let Some(hook) = self.core.wake_hook() {
-                    hook(qs_queues::WakeReason::Guard);
-                }
+                let wake = self.core.wake_hook();
+                wake(qs_queues::WakeReason::Guard);
             }
         }
         let lock_based = self.lock_guard.is_some();
@@ -799,8 +795,7 @@ mod tests {
     fn spawn<T: Send + 'static>(config: RuntimeConfig, object: T) -> Handler<T> {
         let stats = RuntimeStats::new();
         let core = HandlerCore::new(7, config, stats, object, None);
-        let thread_core = Arc::clone(&core);
-        std::thread::spawn(move || thread_core.run());
+        std::thread::spawn(crate::handler::dedicated_thread_body(&core));
         Handler::from_core(core)
     }
 

@@ -99,19 +99,22 @@ pub struct RuntimeStats {
     /// Non-blocking `try_call`s rejected because the bounded mailbox was
     /// full.
     pub backpressure_rejections: AtomicU64,
-    /// Pooled scheduling: idle→scheduled transitions (a producer's wake
-    /// hook re-armed a parked handler).
+    /// Idle→scheduled transitions: a producer's wake hook re-armed an idle
+    /// handler.  Pooled, that is a schedule-flag transition; dedicated, a
+    /// raise of the handler thread's clear pending flag.
     pub handler_wakeups: AtomicU64,
-    /// Pooled scheduling: steps that exhausted their request budget and
-    /// yielded the worker with work still pending.
+    /// Handler steps that exhausted their request budget and yielded with
+    /// work still pending.  Counted under both scheduling modes, since the
+    /// dedicated thread runs the same step (it steps again at once).
     pub handler_yields: AtomicU64,
-    /// Pooled scheduling: producer wakes that carried
+    /// Pooled scheduling only: producer wakes that carried
     /// `WakeReason::Pressure` (a push crossed a bounded mailbox's half-full
     /// watermark or blocked for space), routing the handler through the
-    /// scheduler's priority lane.
+    /// scheduler's priority lane.  The dedicated wake hook has no priority
+    /// lane and never counts here.
     pub pressure_wakes: AtomicU64,
-    /// Pooled scheduling: yield budgets shrunk to one batch because the
-    /// handler's mailbox reported backpressure.
+    /// Yield budgets shrunk to one batch because the handler's mailbox
+    /// reported backpressure.  Counted under both scheduling modes.
     pub budget_shrinks: AtomicU64,
     /// Wait-for cycles confirmed by the deadlock detector (one per distinct
     /// cycle; requires `DeadlockPolicy::Report` or `Break`).
@@ -263,14 +266,14 @@ pub struct StatsSnapshot {
     pub backpressure_stalls: u64,
     /// Non-blocking `try_call`s rejected on a full bounded mailbox.
     pub backpressure_rejections: u64,
-    /// Pooled scheduling: idle→scheduled handler transitions.
+    /// Idle→scheduled handler transitions (both scheduling modes).
     pub handler_wakeups: u64,
-    /// Pooled scheduling: steps that yielded on an exhausted budget.
+    /// Handler steps that yielded on an exhausted budget (both modes).
     pub handler_yields: u64,
-    /// Pooled scheduling: pressure wakes fired by bounded-mailbox producers
-    /// at or past the half-full watermark (or blocking for space).
+    /// Pooled scheduling only: pressure wakes fired by bounded-mailbox
+    /// producers at or past the half-full watermark (or blocking for space).
     pub pressure_wakes: u64,
-    /// Pooled scheduling: yield budgets shrunk under mailbox backpressure.
+    /// Yield budgets shrunk under mailbox backpressure (both modes).
     pub budget_shrinks: u64,
     /// Wait-for cycles confirmed by the deadlock detector.
     pub deadlocks_detected: u64,

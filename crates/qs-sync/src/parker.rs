@@ -111,9 +111,15 @@ impl Parker {
     ///
     /// Call *after* publishing the state change the waiter is waiting for.
     /// The SeqCst swap pairs with the fence in [`park_until`].
+    ///
+    /// The registration is only borrowed, never taken: a waker preempted
+    /// between its swap and the unpark may find the waiter already parked
+    /// again in a later round.  Taking the slot then would leave `parked`
+    /// set with no thread registered, and the next waker would unpark no
+    /// one.  Only the waiter clears the slot.
     pub fn wake(&self) {
         if self.parked.swap(false, Ordering::SeqCst) {
-            if let Some(thread) = self.thread.lock().take() {
+            if let Some(thread) = self.thread.lock().as_ref() {
                 thread.unpark();
             }
         }
@@ -213,5 +219,39 @@ mod tests {
             parker.park_until(|| turn.load(Ordering::Acquire) > round);
         }
         waker.join().unwrap();
+    }
+
+    /// Several wakers racing one waiter that reuses the parker: a waker
+    /// preempted between its swap and its unpark must not consume the
+    /// waiter's next registration, or a later wake finds `parked` set with
+    /// no thread to unpark and the waiter sleeps forever.
+    #[test]
+    fn racing_wakers_never_strand_a_reused_parker() {
+        const WAKERS: usize = 3;
+        const WAKES_PER_WAKER: usize = 20_000;
+        let parker = Arc::new(Parker::new());
+        let posted = Arc::new(AtomicUsize::new(0));
+        let wakers: Vec<_> = (0..WAKERS)
+            .map(|_| {
+                let (parker, posted) = (Arc::clone(&parker), Arc::clone(&posted));
+                thread::spawn(move || {
+                    for _ in 0..WAKES_PER_WAKER {
+                        posted.fetch_add(1, Ordering::SeqCst);
+                        parker.wake();
+                    }
+                })
+            })
+            .collect();
+        // Every park waits for a wake posted after the previous round, so
+        // each round re-registers while wakers may still be mid-`wake`.
+        let total = WAKERS * WAKES_PER_WAKER;
+        let mut seen = 0;
+        while seen < total {
+            parker.park_until(|| posted.load(Ordering::SeqCst) > seen);
+            seen = posted.load(Ordering::SeqCst);
+        }
+        for waker in wakers {
+            waker.join().unwrap();
+        }
     }
 }

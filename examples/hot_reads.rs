@@ -77,11 +77,19 @@ fn run(readers: usize, reads_per_reader: usize, shared: bool) -> f64 {
     let rt = Runtime::new(RuntimeConfig::all_optimizations());
     let board = rt.spawn_handler(Leaderboard::new(16));
     let stop_writer = Arc::new(AtomicBool::new(false));
+    // The shared run opens with every reader inside a read block at once
+    // (see below).  The writer starts only after that rendezvous: under
+    // writer preference, a writer announced mid-rendezvous refuses the
+    // readers still outside, and those inside wait for them forever.
+    let start_parties = if shared { readers + 1 } else { 1 };
+    let writer_start = Arc::new(std::sync::Barrier::new(start_parties));
 
     let writer = {
         let board = board.clone();
         let stop = Arc::clone(&stop_writer);
+        let start = Arc::clone(&writer_start);
         std::thread::spawn(move || {
+            start.wait();
             let mut player = 0u32;
             while !stop.load(Ordering::Acquire) {
                 player = (player + 7) % 16;
@@ -106,9 +114,11 @@ fn run(readers: usize, reads_per_reader: usize, shared: bool) -> f64 {
         for _ in 0..readers {
             let board = board.clone();
             let rendezvous = Arc::clone(&rendezvous);
+            let writer_start = Arc::clone(&writer_start);
             scope.spawn(move || {
                 if shared {
                     reserve(&board).read().run(|_| rendezvous.wait());
+                    writer_start.wait();
                 }
                 let mut last_top = 0u64;
                 for _ in 0..reads_per_reader {

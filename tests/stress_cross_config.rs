@@ -199,49 +199,53 @@ fn pooled_two_workers_two_hundred_handlers_across_levels() {
 ///
 /// Every `query` forces the handler to drain the client's queue, complete
 /// the sync handoff and go idle; the client then immediately enqueues the
-/// next call, racing the producer-side wake hook against the worker's
-/// running→idle transition.  If the schedule-flag protocol ever drops a
-/// wake, the next sync round-trip strands forever and the test times out
-/// instead of passing; if it double-schedules, the accounting assertions
-/// catch the duplicated drain.
+/// next call, racing the producer-side wake hook against the handler's
+/// running→idle transition.  That transition is the pool worker's schedule
+/// flag under `Pooled`, and the dedicated thread's pending flag and parker
+/// under `Dedicated`.  If either protocol ever drops a wake, the next sync
+/// round-trip strands forever and the test times out instead of passing;
+/// if it double-schedules, the accounting assertions catch the duplicated
+/// drain.
 #[test]
 fn lost_wakeup_hammer_idle_nonempty_race() {
     for level in [OptimizationLevel::All, OptimizationLevel::None] {
-        let rt = Runtime::new(
-            level
-                .config()
-                .with_scheduler(SchedulerMode::Pooled { workers: 1 }),
-        );
-        let handler = rt.spawn_handler(0u64);
-        const ROUNDS: u64 = 2_000;
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                let handler = handler.clone();
-                scope.spawn(move || {
-                    for _ in 0..ROUNDS {
-                        handler.separate(|s| {
-                            s.call(|n| *n += 1);
-                            // The round-trip parks the handler right after
-                            // the drain — the racy window.
-                            let _ = s.query(|n| *n);
-                        });
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            handler.shutdown_and_take(),
-            Some(2 * ROUNDS),
-            "{level}: a wakeup was lost or a request stranded"
-        );
-        let snap = rt.stats_snapshot();
-        assert_eq!(snap.calls_enqueued, 2 * ROUNDS, "{level}");
-        assert_eq!(
-            snap.requests_executed,
-            snap.calls_enqueued + snap.queries_handler_executed + snap.queries_pipelined,
-            "{level}: enqueued != executed"
-        );
-        assert!(snap.handler_wakeups > 0, "{level}: no wakeups recorded");
+        for scheduler in [
+            SchedulerMode::Pooled { workers: 1 },
+            SchedulerMode::Dedicated,
+        ] {
+            let rt = Runtime::new(level.config().with_scheduler(scheduler));
+            let level = format!("{level} / {scheduler:?}");
+            let handler = rt.spawn_handler(0u64);
+            const ROUNDS: u64 = 2_000;
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    let handler = handler.clone();
+                    scope.spawn(move || {
+                        for _ in 0..ROUNDS {
+                            handler.separate(|s| {
+                                s.call(|n| *n += 1);
+                                // The round-trip parks the handler right after
+                                // the drain — the racy window.
+                                let _ = s.query(|n| *n);
+                            });
+                        }
+                    });
+                }
+            });
+            assert_eq!(
+                handler.shutdown_and_take(),
+                Some(2 * ROUNDS),
+                "{level}: a wakeup was lost or a request stranded"
+            );
+            let snap = rt.stats_snapshot();
+            assert_eq!(snap.calls_enqueued, 2 * ROUNDS, "{level}");
+            assert_eq!(
+                snap.requests_executed,
+                snap.calls_enqueued + snap.queries_handler_executed + snap.queries_pipelined,
+                "{level}: enqueued != executed"
+            );
+            assert!(snap.handler_wakeups > 0, "{level}: no wakeups recorded");
+        }
     }
 }
 
@@ -303,7 +307,7 @@ fn sustained_backpressure_pooled_keeps_pace_with_dedicated() {
     );
     assert_eq!(
         dedicated.pressure_wakes, 0,
-        "dedicated mode has no wake hooks"
+        "dedicated wake hooks unpark the handler thread and never count as pressure wakes"
     );
     assert!(
         pooled.pressure_wakes > 0,

@@ -4,7 +4,11 @@
 use std::time::{Duration, Instant};
 
 use qs_baselines::Paradigm;
-use qs_runtime::{reserve, OptimizationLevel, Runtime, RuntimeConfig, SchedulerMode, WaitConfig};
+use qs_runtime::{
+    reserve, Handler, OptimizationLevel, Runtime, RuntimeConfig, SchedulerMode, Separate,
+    WaitConfig,
+};
+use qs_sync::Backoff;
 use qs_workloads::concurrent::{
     run_concurrent, run_concurrent_scoop, ConcurrentParams, ConcurrentTask,
 };
@@ -491,17 +495,24 @@ pub fn backpressure_sweep(blocks: usize, rounds: usize) -> (BackpressurePoint, B
 // Guarded waits: event-driven parking versus the retry-polling baseline
 // ---------------------------------------------------------------------------
 
-/// Which wait loop `reserve(...).when(...)` runs in a wait experiment.
+/// How a client waits for a condition in a wait experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitStrategy {
-    /// The default event-driven loop: park on the handlers' guard-waiter
-    /// registries, resume on signals.
+    /// The runtime's wait loop, `reserve(...).when(...)`: park on the
+    /// handlers' guard-waiter registries, resume on signals.
     Parked,
-    /// The legacy retry-polling loop, forced through a bounded-attempt
-    /// policy (`max_retries: usize::MAX` never fires, but its presence
-    /// selects the polling path) — the differential baseline.
+    /// The retry-polling reference, run by the client: one-evaluation
+    /// `bounded(1)` probes, spinning, then yielding, then sleeping 1 ms
+    /// between them.  It never parks on a registry.
     Polling,
 }
+
+/// Failed probes the polling reference spins through before it yields.
+const POLL_SPIN_RETRIES: usize = 8;
+/// Failed probes after which the polling reference sleeps between probes.
+const POLL_SLEEP_AFTER: usize = 256;
+/// The polling reference's sleep between deep retries.
+const POLL_SLEEP: Duration = Duration::from_millis(1);
 
 impl WaitStrategy {
     /// Display label for tables and JSON.
@@ -512,21 +523,45 @@ impl WaitStrategy {
         }
     }
 
-    /// The `WaitConfig` selecting this strategy.
-    pub fn config(self) -> WaitConfig {
+    /// Runs `body` under a reservation of `handler` once `condition` holds,
+    /// waiting the way this strategy says.
+    pub fn wait<T: Send + 'static, R>(
+        self,
+        handler: &Handler<T>,
+        condition: impl Fn(&T) -> bool,
+        mut body: impl FnMut(&mut Separate<'_, T>) -> R,
+    ) -> R {
         match self {
-            WaitStrategy::Parked => WaitConfig::default(),
-            WaitStrategy::Polling => WaitConfig {
-                max_retries: Some(usize::MAX),
-                ..WaitConfig::default()
-            },
+            WaitStrategy::Parked => reserve(handler).when(condition).run(body),
+            WaitStrategy::Polling => {
+                let backoff = Backoff::new();
+                let mut attempts = 0usize;
+                loop {
+                    attempts += 1;
+                    let probe = reserve(handler)
+                        .when(&condition)
+                        .timeout(WaitConfig::bounded(1))
+                        .try_run(&mut body);
+                    if let Ok(result) = probe {
+                        return result;
+                    }
+                    if attempts <= POLL_SPIN_RETRIES {
+                        backoff.spin();
+                    } else if attempts <= POLL_SLEEP_AFTER {
+                        std::thread::yield_now();
+                        backoff.snooze();
+                    } else {
+                        std::thread::sleep(POLL_SLEEP);
+                    }
+                }
+            }
         }
     }
 }
 
 /// Gap between producer state changes in the resume-latency experiment —
-/// long enough that the waiter is parked (or deep in the polling loop's
-/// sleep phase) when the change lands.
+/// long enough that the waiter is parked (or deep in the polling
+/// reference's sleep phase) when the change lands.
 pub const WAIT_LATENCY_GAP: Duration = Duration::from_millis(1);
 
 /// One measured point of the wake-latency experiment: a single waiter
@@ -582,11 +617,11 @@ pub fn wait_latency_point(
     };
     let mut resumes_micros: Vec<f64> = Vec::with_capacity(rounds);
     for round in 0..rounds as u64 {
-        let resumed = reserve(&cell)
-            .when(move |c: &LatencyCell| c.value > round)
-            .timeout(strategy.config())
-            .try_run(|guard| guard.query(|c| c.stamp.expect("producer stamped").elapsed()))
-            .expect("the latency wait never times out");
+        let resumed = strategy.wait(
+            &cell,
+            |c: &LatencyCell| c.value > round,
+            |guard| guard.query(|c| c.stamp.expect("producer stamped").elapsed()),
+        );
         resumes_micros.push(resumed.as_secs_f64() * 1e6);
     }
     producer.join().unwrap();
@@ -647,11 +682,7 @@ pub fn wait_scaling_point(
         .map(|_| {
             let counter = counter.clone();
             std::thread::spawn(move || {
-                reserve(&counter)
-                    .when(|c: &u64| *c >= WAIT_SCALING_STEPS)
-                    .timeout(strategy.config())
-                    .try_run(|_| ())
-                    .expect("the scaling wait never times out");
+                strategy.wait(&counter, |c: &u64| *c >= WAIT_SCALING_STEPS, |_| ());
             })
         })
         .collect();

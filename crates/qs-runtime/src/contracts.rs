@@ -30,26 +30,15 @@ use crate::separate::Separate;
 use crate::stats::RuntimeStats;
 
 /// Retry policy for wait conditions.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WaitConfig {
-    /// Maximum number of failed condition evaluations before giving up;
-    /// `None` retries forever (the SCOOP semantics).
+    /// Evaluation budget: give up once this many evaluations have failed;
+    /// `None` retries forever (the SCOOP semantics).  After the first few,
+    /// which spin, an evaluation is made on a signal or after a park of at
+    /// most 1 ms, so the budget runs out even if no other client helps.
     pub max_retries: Option<usize>,
     /// Maximum wall-clock time to keep retrying; `None` never expires.
     pub max_wait: Option<Duration>,
-    /// After this many spin-retries the client starts yielding the CPU
-    /// between attempts.
-    pub spin_retries: usize,
-}
-
-impl Default for WaitConfig {
-    fn default() -> Self {
-        WaitConfig {
-            max_retries: None,
-            max_wait: None,
-            spin_retries: 8,
-        }
-    }
 }
 
 impl WaitConfig {
@@ -198,14 +187,23 @@ mod tests {
 
     #[test]
     fn bounded_wait_times_out_when_nobody_helps() {
-        let rt = Runtime::new(RuntimeConfig::all_optimizations());
-        let cell = rt.spawn_handler(0u32);
-        let result = reserve(&cell)
-            .when(|n: &u32| *n > 0)
-            .timeout(WaitConfig::bounded(5))
-            .try_run(|guard| guard.query(|n| *n));
-        assert_eq!(result, Err(WaitTimeout { attempts: 5 }));
-        assert!(rt.stats_snapshot().wait_condition_retries >= 5);
+        // Every failed evaluation counts once and nothing signals.  1 is a
+        // single probe and 5 ends inside the spin window; 40 must park, and
+        // with no other client only the bounded park lets the budget run
+        // out.
+        for budget in [1, 5, 40] {
+            let rt = Runtime::new(RuntimeConfig::all_optimizations());
+            let cell = rt.spawn_handler(0u32);
+            let result = reserve(&cell)
+                .when(|n: &u32| *n > 0)
+                .timeout(WaitConfig::bounded(budget))
+                .try_run(|guard| guard.query(|n| *n));
+            assert_eq!(result, Err(WaitTimeout { attempts: budget }));
+            let snap = rt.stats_snapshot();
+            assert_eq!(snap.wait_condition_checks, budget as u64);
+            assert_eq!(snap.wait_condition_retries, budget as u64);
+            assert_eq!(snap.guard_wakeups, 0);
+        }
         assert!(WaitTimeout { attempts: 5 }
             .to_string()
             .contains("5 attempts"));

@@ -42,9 +42,10 @@
 //! attempts so other clients can make the condition true.  Between attempts
 //! the client does not poll: it parks on a per-handler registry of guard
 //! waiters ([`crate::guard`]) and is signalled when a handler finishes a
-//! block that may have changed the condition's truth.  The legacy retry-poll
-//! loop survives only for bounded-attempt policies and behind the
-//! `wait-retry-poll` feature (differential testing).
+//! block that may have changed the condition's truth.  There is one wait
+//! loop for every policy: an evaluation budget (`max_retries`) only bounds
+//! each park by 1 ms, so the budget is spent even when no signal ever
+//! arrives.
 //!
 //! # Read members
 //!
@@ -93,16 +94,14 @@ type DeadlockTargets = Vec<(Arc<WaitRegistry>, ParticipantId)>;
 /// handler, used to park a client whose wait condition failed.
 type GuardRegistries = Vec<Arc<GuardRegistry>>;
 
-/// After this many failed wait-condition attempts the *polling* wait loop
-/// (bounded policies and the `wait-retry-poll` feature) sleeps
-/// [`RETRY_SLEEP`] between evaluations instead of spinning/yielding: a
-/// condition that failed hundreds of times is not latency-critical, a hot
-/// loop burning a core forever is a bug of its own, and the wide sleep
-/// windows are what lets the deadlock detector sample a genuinely stuck
-/// reservation (its `waiting` probe is true throughout the sleep).
-const RETRY_SLEEP_AFTER: usize = 256;
+/// Failed evaluations a waiter spins through before it parks: young
+/// conditions often come true within a round trip or two, and a short spin
+/// window spares them the park/unpark.
+const SPIN_RETRIES: usize = 8;
 
-/// Inter-attempt sleep on the deep-retry path.
+/// Longest park of a waiter with an evaluation budget (`max_retries`): a
+/// signal still wakes it early, but without one it re-evaluates after this
+/// long, so the budget runs out even when no other client touches the set.
 const RETRY_SLEEP: std::time::Duration = std::time::Duration::from_millis(1);
 
 // ---------------------------------------------------------------------------
@@ -971,20 +970,11 @@ impl<'h, S: ReservationSet<'h>, C: WaitCondition<'h, S>> GuardedReservation<'h, 
     /// Failed evaluations do not poll: after a brief spin window the client
     /// registers itself with every handler of the set and parks until some
     /// handler finishes a block — the only event that can change the
-    /// condition's truth — then re-reserves and re-evaluates.  A bounded
-    /// `max_retries` policy keeps the legacy polling loop instead (an
-    /// attempt budget is meaningless while parked: a parked client makes no
-    /// attempts), as does building with the `wait-retry-poll` feature.
-    pub fn try_run<R>(self, body: impl FnOnce(&mut S::Guards) -> R) -> Result<R, WaitTimeout> {
-        if cfg!(feature = "wait-retry-poll") || self.config.max_retries.is_some() {
-            self.try_run_polling(body)
-        } else {
-            self.try_run_parking(body)
-        }
-    }
-
-    /// The event-driven wait loop: park on the set's guard registries
-    /// between failed evaluations instead of polling.
+    /// condition's truth — then re-reserves and re-evaluates.  A
+    /// `max_retries` budget counts evaluations: the one that spends it fails
+    /// before registering anything (so `bounded(1)` is a single probe), and
+    /// while a budget is set each park lasts at most 1 ms.  A
+    /// `max_wait` deadline clamps every park.
     ///
     /// Lost-signal freedom: the waiter registers with every handler's
     /// registry — and clears its signal flag — *while the failed
@@ -994,7 +984,7 @@ impl<'h, S: ReservationSet<'h>, C: WaitCondition<'h, S>> GuardedReservation<'h, 
     /// release, so its signal necessarily lands after the registration;
     /// blocks that completed before the round was observed by the
     /// evaluation itself.
-    fn try_run_parking<R>(self, body: impl FnOnce(&mut S::Guards) -> R) -> Result<R, WaitTimeout> {
+    pub fn try_run<R>(self, body: impl FnOnce(&mut S::Guards) -> R) -> Result<R, WaitTimeout> {
         let stats = self.set.shared_stats();
         let registries = self.set.guard_registries();
         let mut body = Some(body);
@@ -1052,12 +1042,24 @@ impl<'h, S: ReservationSet<'h>, C: WaitCondition<'h, S>> GuardedReservation<'h, 
                     }
                     return Ok(result);
                 }
-                // Failed.  (Re-)arm the parking slot while the reservation
-                // is still open: no state-changing block on any handler of
-                // the set can complete — and signal — between this
-                // registration and the release below, so clearing the
-                // signal flag here discards only signals whose effects this
-                // very evaluation already observed.
+                // Failed.  The evaluation that spends the budget gives up
+                // here, before registering anything.
+                if let Some(stats) = &stats {
+                    RuntimeStats::bump(&stats.wait_condition_retries);
+                }
+                if self
+                    .config
+                    .max_retries
+                    .is_some_and(|limit| attempts >= limit)
+                {
+                    return Err(WaitTimeout { attempts });
+                }
+                // (Re-)arm the parking slot while the reservation is still
+                // open: no state-changing block on any handler of the set
+                // can complete — and signal — between this registration
+                // and the release below, so clearing the signal flag here
+                // discards only signals whose effects this very evaluation
+                // already observed.
                 let waiter = &parking
                     .get_or_insert_with(|| ParkedWaiter::register(&registries))
                     .waiter;
@@ -1066,9 +1068,6 @@ impl<'h, S: ReservationSet<'h>, C: WaitCondition<'h, S>> GuardedReservation<'h, 
                     .store(false, std::sync::atomic::Ordering::Release);
                 // Release the reservation (guards drop here) so other
                 // clients can make the condition true.
-            }
-            if let Some(stats) = &stats {
-                RuntimeStats::bump(&stats.wait_condition_retries);
             }
             if attempts == 1 {
                 let slot = parking.as_ref().expect("registered on first failure");
@@ -1100,9 +1099,7 @@ impl<'h, S: ReservationSet<'h>, C: WaitCondition<'h, S>> GuardedReservation<'h, 
                     return Err(WaitTimeout { attempts });
                 }
             }
-            if attempts <= self.config.spin_retries {
-                // Young conditions often come true within a round trip or
-                // two; a short spin window spares them the park/unpark.
+            if attempts <= SPIN_RETRIES {
                 backoff.spin();
                 continue;
             }
@@ -1114,13 +1111,21 @@ impl<'h, S: ReservationSet<'h>, C: WaitCondition<'h, S>> GuardedReservation<'h, 
                 waiter.signaled.load(std::sync::atomic::Ordering::Acquire)
                     || reserve_edges.iter().any(EdgeGuard::is_broken)
             };
+            // A budget must run out even if no signal ever comes.
+            let park_deadline = match self.config.max_retries {
+                Some(_) => {
+                    let nap_end = Instant::now() + RETRY_SLEEP;
+                    Some(deadline.map_or(nap_end, |deadline| deadline.min(nap_end)))
+                }
+                None => deadline,
+            };
             let park_timer = qs_obs::timer();
             parked.store(true, std::sync::atomic::Ordering::Release);
-            match deadline {
-                Some(deadline) => {
+            match park_deadline {
+                Some(park_deadline) => {
                     waiter
                         .parker
-                        .park_until_deadline(signaled_or_broken, deadline);
+                        .park_until_deadline(signaled_or_broken, park_deadline);
                 }
                 None => waiter.parker.park_until(signaled_or_broken),
             }
@@ -1152,109 +1157,6 @@ impl<'h, S: ReservationSet<'h>, C: WaitCondition<'h, S>> GuardedReservation<'h, 
                     if Instant::now() >= deadline {
                         return Err(WaitTimeout { attempts });
                     }
-                }
-            }
-        }
-    }
-
-    /// The legacy retry-polling wait loop: spin, then yield, then sleep
-    /// [`RETRY_SLEEP`] between evaluations.  Kept for bounded-attempt
-    /// policies (`max_retries`) — where every attempt must actually run —
-    /// and as the `wait-retry-poll` differential-testing baseline.
-    fn try_run_polling<R>(self, body: impl FnOnce(&mut S::Guards) -> R) -> Result<R, WaitTimeout> {
-        let stats = self.set.shared_stats();
-        let mut body = Some(body);
-        let mut attempts = 0usize;
-        let started = Instant::now();
-        let deadline = self.config.max_wait.map(|max_wait| started + max_wait);
-        let backoff = Backoff::new();
-        // Deadlock tracking: while the wait condition keeps retrying, this
-        // client is (conditionally) blocked on every handler of the set —
-        // registered as ReserveWait edges from the first failed attempt
-        // until the condition holds or the policy times out.  The edges
-        // carry a probe gated on `waiting`: it is false only while the
-        // client is actively re-reserving and evaluating the condition
-        // (making progress — such an instant must not complete a cycle at
-        // scan time, e.g. against the Serving edge of the very block the
-        // evaluation holds open) and true everywhere else in the retry
-        // loop.  Note the blocking parts of an evaluation are covered
-        // regardless: the sync round-trips inside `holds` register their
-        // own Query edges.
-        let mut reserve_edges: Vec<EdgeGuard> = Vec::new();
-        let waiting = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        loop {
-            attempts += 1;
-            if let Some(stats) = &stats {
-                RuntimeStats::bump(&stats.wait_condition_checks);
-            }
-            waiting.store(false, std::sync::atomic::Ordering::Release);
-            {
-                let mut guards = self.set.begin();
-                if self.condition.holds(&mut guards) {
-                    // The condition holds and the reservation stays open, so
-                    // no other client can invalidate it before the body has
-                    // run (§2.2 guarantee 2).
-                    let body = body.take().expect("body consumed once");
-                    return Ok(body(&mut guards));
-                }
-                // Release the reservation (guards drop here) so other
-                // clients can make the condition true.
-            }
-            waiting.store(true, std::sync::atomic::Ordering::Release);
-            if let Some(stats) = &stats {
-                RuntimeStats::bump(&stats.wait_condition_retries);
-            }
-            if attempts == 1 {
-                for (registry, owner) in self.set.deadlock_targets() {
-                    let waiter = current_waiter(&registry);
-                    let probe = Arc::clone(&waiting);
-                    reserve_edges.push(registry.register(
-                        waiter,
-                        owner,
-                        EdgeKind::ReserveWait,
-                        None,
-                        Some(Arc::new(move || {
-                            probe.load(std::sync::atomic::Ordering::Acquire)
-                        })),
-                    ));
-                }
-            }
-            if reserve_edges.iter().any(EdgeGuard::is_broken) {
-                if let Some(stats) = &stats {
-                    RuntimeStats::bump(&stats.deadlocks_broken);
-                }
-                return Err(WaitTimeout { attempts });
-            }
-            if let Some(limit) = self.config.max_retries {
-                if attempts >= limit {
-                    return Err(WaitTimeout { attempts });
-                }
-            }
-            if let Some(deadline) = deadline {
-                if Instant::now() >= deadline {
-                    return Err(WaitTimeout { attempts });
-                }
-            }
-            if attempts <= self.config.spin_retries {
-                backoff.spin();
-            } else if attempts <= RETRY_SLEEP_AFTER {
-                std::thread::yield_now();
-                backoff.snooze();
-            } else {
-                // Deep retries: the condition has failed hundreds of times,
-                // so trade sub-millisecond reaction for not burning a core —
-                // which also gives the deadlock detector wide `waiting`
-                // windows to sample a genuinely stuck reservation in.  The
-                // sleep never overshoots a wall-clock deadline: it is
-                // clamped to the time remaining.
-                let nap = match deadline {
-                    Some(deadline) => deadline
-                        .saturating_duration_since(Instant::now())
-                        .min(RETRY_SLEEP),
-                    None => RETRY_SLEEP,
-                };
-                if !nap.is_zero() {
-                    std::thread::sleep(nap);
                 }
             }
         }

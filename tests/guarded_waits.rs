@@ -2,10 +2,10 @@
 //! `reserve(...).when(...)` condition is false park on the set's handlers
 //! and are signalled when a block completes, instead of re-polling on a
 //! timer.  Covers the O(signals) evaluation-count guarantee under heavy
-//! waiter fan-in, the lost-signal race between evaluation and registration,
-//! wall-clock timeout clamping on both wait paths, and the interaction with
-//! the runtime deadlock detector (a *parked* guard waiter still confirms —
-//! and `Break` still fails — a reservation cycle).
+//! waiter fan-in, the lost-signal race between evaluation and registration
+//! (with and without an evaluation budget), wall-clock timeout clamping, and
+//! the interaction with the runtime deadlock detector (a *parked* guard
+//! waiter still confirms — and `Break` still fails — a reservation cycle).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,8 +19,8 @@ fn runtime(mode: SchedulerMode) -> Runtime {
 
 /// A hundred clients park on one handler; ten state changes resolve them
 /// all.  The total number of condition evaluations must scale with the
-/// number of signals (a handful per waiter), not with elapsed time — the
-/// legacy 1ms-polling loop would evaluate tens of thousands of times over
+/// number of signals (a handful per waiter), not with elapsed time — a
+/// 1ms-polling loop would evaluate tens of thousands of times over
 /// the same quarter second.
 fn hundred_waiters_resolve_with_few_evaluations(mode: SchedulerMode) {
     const WAITERS: usize = 100;
@@ -76,8 +76,19 @@ fn hundred_waiters_resolve_with_few_evaluations_pooled() {
 /// bumping, so every round re-runs the evaluate → register → release →
 /// park handshake while closes race in from the producer.  A signal falling
 /// into any gap of that handshake would park the waiter forever and hang
-/// the test.
+/// the test.  Runs once unbounded and once with an evaluation budget, whose
+/// parks are bounded but must still be woken by signals.
 fn signals_racing_registration_are_never_lost(mode: SchedulerMode) {
+    let budgeted = WaitConfig {
+        max_retries: Some(usize::MAX),
+        ..Default::default()
+    };
+    for config in [WaitConfig::default(), budgeted] {
+        signals_racing_registration_are_never_lost_with(mode, config);
+    }
+}
+
+fn signals_racing_registration_are_never_lost_with(mode: SchedulerMode, config: WaitConfig) {
     const ROUNDS: usize = 2_000;
 
     let rt = runtime(mode);
@@ -105,8 +116,9 @@ fn signals_racing_registration_are_never_lost(mode: SchedulerMode) {
     for round in 0..ROUNDS {
         let observed = reserve(&counter)
             .when(move |c: &u64| *c > last_seen)
+            .timeout(config)
             .run(|guard| guard.query(|c| *c));
-        assert!(observed > last_seen, "{mode}: round {round}");
+        assert!(observed > last_seen, "{mode} {config:?}: round {round}");
         last_seen = observed;
     }
     stop.store(true, Ordering::Release);
@@ -115,7 +127,7 @@ fn signals_racing_registration_are_never_lost(mode: SchedulerMode) {
     let snapshot = rt.stats_snapshot();
     assert!(
         snapshot.guard_wakeups > 0,
-        "{mode}: the hammer never parked, the race went unexercised: {snapshot:?}"
+        "{mode} {config:?}: the hammer never parked, the race went unexercised: {snapshot:?}"
     );
 }
 
@@ -129,9 +141,9 @@ fn signals_racing_registration_are_never_lost_pooled() {
     signals_racing_registration_are_never_lost(SchedulerMode::Pooled { workers: 4 });
 }
 
-/// Wall-clock timeouts stay wall-clock on both wait paths: the parking path
-/// bounds its park by the remaining budget (not a fixed nap), and the
-/// polling path clamps its deep-retry sleep to the time left.
+/// Wall-clock timeouts stay wall-clock on both wait paths: an unbudgeted
+/// wait bounds its park by the remaining time (not a fixed nap), and a
+/// budgeted wait clamps each of its bounded parks to the time left.
 #[test]
 fn wall_clock_timeouts_are_clamped_on_both_wait_paths() {
     const BUDGET: Duration = Duration::from_millis(60);
@@ -152,12 +164,11 @@ fn wall_clock_timeouts_are_clamped_on_both_wait_paths() {
     assert!(elapsed >= BUDGET, "parked: fired early after {elapsed:?}");
     assert!(elapsed < OVERSHOOT, "parked: overshot to {elapsed:?}");
 
-    // Polling path (a retry bound forces it): the deep-retry sleeps must
-    // not carry the wait past the wall-clock budget.
+    // Budgeted path: the 1 ms parks of an evaluation budget must not
+    // carry the wait past the wall-clock budget.
     let config = WaitConfig {
         max_retries: Some(usize::MAX),
         max_wait: Some(BUDGET),
-        ..WaitConfig::default()
     };
     let started = Instant::now();
     let polled = reserve(&cell)
@@ -217,8 +228,8 @@ fn run_parked_guard_cycle(rt: &Runtime, a_wait: WaitConfig) -> CycleOutcome {
     // B must not move before A is parked on Y: if both inner waits start
     // together, both evaluations block in their syncs and the cycle forms
     // out of plain query edges with nothing breakable on it.  A's spin
-    // window is `spin_retries = 8` failed evaluations, so once the retry
-    // counter passes it A is parking.
+    // window is 8 failed evaluations, so once the retry counter passes it
+    // A is parking.
     let started = Instant::now();
     while rt.stats_snapshot().wait_condition_retries < 9 {
         assert!(
